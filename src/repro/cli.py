@@ -29,6 +29,7 @@ from repro.core.erapid import ERapidSystem
 from repro.core.policies import POLICIES
 from repro.metrics.collector import MeasurementPlan
 from repro.metrics.report import format_kv
+from repro.perf.executor import SWEEP_ENGINES
 from repro.traffic.patterns import PATTERNS
 from repro.traffic.workload import WorkloadSpec
 
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(bit-identical to serial)",
     )
     sweep.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=SWEEP_ENGINES,
         help="sweep engine: scalar fast engine (default) or the vectorized "
         "batch engine (statistically equivalent, order-of-magnitude faster "
         "on large grids; --jobs shards covered slabs across workers)",
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "($ERAPID_CACHE_DIR or ~/.cache/erapid/runs)",
     )
     repro_cmd.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=SWEEP_ENGINES,
         help="sweep-stage engine: scalar fast engine (default) or the "
         "vectorized batch engine with scalar fallback",
     )
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue priority (default: interactive for run, bulk for sweep)",
     )
     submit.add_argument(
-        "--engine", default="fast", choices=("fast", "batch"),
+        "--engine", default="fast", choices=SWEEP_ENGINES,
         help="execution engine for the job's runs (default: fast)",
     )
 

@@ -54,9 +54,6 @@ PAPER_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 #: ``progress(policy, load, result)`` — per-run completion hook.
 SweepProgress = Callable[[str, float, RunResult], None]
 
-#: Fresh results buffered per batched cache write (see
-#: :meth:`repro.perf.cache.RunCache.put_many`).
-_PUT_CHUNK = 32
 #: ``progress(panel, policy, load, result, cached)`` — matrix-wide hook.
 MatrixProgress = Callable[[str, str, float, RunResult, bool], None]
 
@@ -84,19 +81,16 @@ class SweepSpec:
             if p not in POLICIES:
                 raise ConfigurationError(f"unknown policy {p!r}")
 
-    def tasks(
-        self, base_config: Optional[ERapidConfig] = None
-    ) -> List["RunTask"]:
-        """The exact run-task list :func:`run_sweep` executes, in order.
+    def tasks(self) -> List["RunTask"]:
+        """The exact run-task list :func:`run_sweep` executes, in order:
+        policy-major, one task per load.
 
-        Exposed so callers (the CLI's verbose shard-plan output, the
-        shard planner) can reason about a sweep's layout without running
-        it; kept in lock-step with :func:`run_sweep_matrix`'s cell
-        construction by test.
+        :func:`run_sweep_matrix` executes exactly this list; the CLI's
+        verbose shard-plan output reasons about it without running it.
         """
         from repro.perf.executor import RunTask
 
-        base = base_config or _default_config(self)
+        base = _default_config(self)
         out: List[RunTask] = []
         for policy_name in self.policies:
             config = base.with_policy(POLICIES[policy_name])
@@ -125,7 +119,6 @@ def _default_config(spec: SweepSpec) -> ERapidConfig:
 
 def run_sweep(
     spec: SweepSpec,
-    base_config: Optional[ERapidConfig] = None,
     progress: Optional[SweepProgress] = None,
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
@@ -137,8 +130,7 @@ def run_sweep(
     ``progress(policy, load, result)`` is invoked after each run when
     given (the CLI uses it for live output).  ``jobs``/``cache``/
     ``engine``/``slab_shard`` behave as documented on
-    :func:`run_sweep_matrix`; outputs are bit-identical for every
-    ``jobs`` value, every shard layout, and across cache hits.
+    :func:`run_sweep_matrix`.
     """
     matrix_progress: Optional[MatrixProgress] = None
     if progress is not None:
@@ -151,7 +143,6 @@ def run_sweep(
 
     return run_sweep_matrix(
         {"sweep": spec},
-        base_configs={"sweep": base_config} if base_config is not None else None,
         progress=matrix_progress,
         jobs=jobs,
         cache=cache,
@@ -162,7 +153,6 @@ def run_sweep(
 
 def run_sweep_matrix(
     specs: Mapping[str, SweepSpec],
-    base_configs: Optional[Mapping[str, Optional[ERapidConfig]]] = None,
     progress: Optional[MatrixProgress] = None,
     jobs: int = 1,
     cache: Optional["RunCache"] = None,
@@ -171,135 +161,41 @@ def run_sweep_matrix(
 ) -> Dict[str, Dict[str, List[RunResult]]]:
     """Run several sweep panels as one flat (panel × policy × load) batch.
 
-    Parameters
-    ----------
-    specs:
-        ``{panel name: SweepSpec}``; iteration order fixes task order.
-    base_configs:
-        Optional per-panel config override (same keys as ``specs``).
-    progress:
-        ``progress(panel, policy, load, result, cached)`` — called once
-        per run: immediately (deterministic order) for cache hits, then
-        as live runs complete.
-    jobs:
-        Process-pool width; ``1`` executes inline.  Results are
-        reassembled by task index, so every ``jobs`` value yields
-        byte-identical output.
-    cache:
-        Optional :class:`repro.perf.cache.RunCache`; hits skip execution
-        (answered by one batched :meth:`~repro.perf.cache.RunCache.
-        get_many` lookup), misses are stored after running through
-        chunked :meth:`~repro.perf.cache.RunCache.put_many` writes.
-    engine:
-        ``"fast"`` (default) runs every point on the scalar
-        :class:`~repro.core.engine.FastEngine`; ``"batch"`` routes points
-        the vectorized model covers through the sharded
-        :func:`repro.perf.executor.run_sweep_batched` path — under
-        ``jobs > 1`` covered runs are split into per-worker sub-slabs
-        scheduled alongside scalar fallback on one pool.  Cache keys are
-        engine-aware per point: a point the batch engine executes is
-        keyed in the batch keyspace, a fallback point keeps its scalar
-        key (its result *is* a scalar result).
-    slab_shard:
-        Batch-engine shard-size override (see :mod:`repro.perf.shards`);
-        layout never changes results, only wall-clock time.
+    ``specs`` maps panel names to sweeps; iteration order fixes task
+    order.  ``progress(panel, policy, load, result, cached)`` is called
+    once per run.  ``jobs``, ``cache``, ``engine`` (``"fast"`` or
+    ``"batch"``) and ``slab_shard`` go to
+    :func:`repro.perf.executor.run_cached`; results are bit-identical for
+    every ``jobs`` value, every shard layout, and across cache hits.
 
     Returns ``{panel: {policy: [RunResult per load]}}``.
     """
-    from repro.perf.executor import RunTask, execute_tasks, run_sweep_batched
-
-    if engine not in ("fast", "batch"):
-        raise ConfigurationError(
-            f"unknown sweep engine {engine!r}; expected 'fast' or 'batch'"
-        )
-    batch_covers: Optional[Callable[..., Optional[str]]] = None
-    if engine == "batch":
-        from repro.core.batch import coverage_gap
-
-        batch_covers = coverage_gap
-
-    results: Dict[str, Dict[str, List[Optional[RunResult]]]] = {
-        name: {p: [None] * len(spec.loads) for p in spec.policies}
-        for name, spec in specs.items()
-    }
-    #: Every (panel, policy, load, slot, config, workload, plan, key,
-    #: point engine) cell in deterministic spec order.
-    cells: List[Tuple] = []
-    for name, spec in specs.items():
-        base = (base_configs or {}).get(name) or _default_config(spec)
-        for policy_name in spec.policies:
-            config = base.with_policy(POLICIES[policy_name])
-            for li, load in enumerate(spec.loads):
-                workload = WorkloadSpec(
-                    pattern=spec.pattern, load=load, seed=spec.seed
-                )
-                point_engine = "fast"
-                if batch_covers is not None and (
-                    batch_covers(config, workload, spec.plan) is None
-                ):
-                    point_engine = "batch"
-                key: Optional[str] = None
-                if cache is not None:
-                    key = cache.key_for(
-                        config, workload, spec.plan, engine=point_engine
-                    )
-                cells.append(
-                    (name, policy_name, load, li, config, workload,
-                     spec.plan, key, point_engine)
-                )
-
-    # One batched lookup answers every cache-addressable cell up front;
-    # hits report in deterministic spec order, exactly as before.
-    cached: List[Optional[RunResult]] = (
-        cache.get_many([c[7] for c in cells])
-        if cache is not None
-        else [None] * len(cells)
-    )
+    from repro.perf.executor import run_cached
 
     tasks: List[RunTask] = []
-    #: Parallel to ``tasks``: (panel, policy, load, slot index, cache key,
-    #: engine keyspace of the point).
-    meta: List[Tuple[str, str, float, int, Optional[str], str]] = []
-    for cell, hit in zip(cells, cached):
-        name, policy_name, load, li, config, workload, plan, key, pe = cell
-        if hit is not None:
-            results[name][policy_name][li] = hit
-            if progress is not None:
-                progress(name, policy_name, load, hit, True)
-            continue
-        tasks.append(RunTask(config, workload, plan))
-        meta.append((name, policy_name, load, li, key, pe))
-
-    put_buffer: List[Tuple] = []
-
-    def flush_puts() -> None:
-        if cache is not None and put_buffer:
-            cache.put_many(put_buffer)
-            put_buffer.clear()
-
-    def on_result(index: int, result: RunResult) -> None:
-        name, policy_name, load, li, key, point_engine = meta[index]
-        results[name][policy_name][li] = result
-        if cache is not None and key is not None:
-            put_buffer.append((key, result, point_engine))
-            if len(put_buffer) >= _PUT_CHUNK:
-                flush_puts()
-        if progress is not None:
-            progress(name, policy_name, load, result, False)
-
-    if engine == "batch":
-        run_sweep_batched(
-            tasks, jobs=jobs, on_result=on_result, slab_shard=slab_shard
+    #: Parallel to ``tasks``: (panel, policy, load).
+    labels: List[Tuple[str, str, float]] = []
+    for name, spec in specs.items():
+        tasks.extend(spec.tasks())
+        labels.extend(
+            (name, policy, load) for policy in spec.policies for load in spec.loads
         )
-    else:
-        execute_tasks(tasks, jobs=jobs, on_result=on_result)
-    flush_puts()
 
-    # All slots are filled now; narrow Optional away for callers.
-    return {
-        name: {p: list(runs) for p, runs in panels.items()}  # type: ignore[misc]
-        for name, panels in results.items()
-    }
+    def on_result(i: int, result: RunResult, cached: bool) -> None:
+        if progress is not None:
+            progress(*labels[i], result, cached)
+
+    results, _ = run_cached(
+        tasks, cache, engine, jobs, on_result=on_result, slab_shard=slab_shard
+    )
+    out: Dict[str, Dict[str, List[RunResult]]] = {}
+    start = 0
+    for name, spec in specs.items():
+        out[name] = {}
+        for policy in spec.policies:
+            out[name][policy] = results[start:start + len(spec.loads)]
+            start += len(spec.loads)
+    return out
 
 
 from typing import TYPE_CHECKING

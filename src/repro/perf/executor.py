@@ -25,6 +25,9 @@ thing to get right is determinism:
 
 * **Assembly.**  Results are reassembled by task index, so the output
   sequence never depends on completion order.
+
+:func:`run_cached` is the one cache-aware loop over these executors;
+both the sweep harness and the service's jobs run through it.
 """
 
 from __future__ import annotations
@@ -32,28 +35,52 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, cast
 
 from repro.core.config import ERapidConfig
+from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
 from repro.perf.shards import SLAB_CAP, ShardReport, ShardSpec, plan_shards
 from repro.traffic.workload import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.perf.cache import RunCache
 
 __all__ = [
     "RunTask",
     "execute_run",
     "execute_tasks",
+    "run_cached",
     "run_sweep_batched",
+    "PUT_CHUNK",
     "SLAB_CAP",
+    "SWEEP_ENGINES",
 ]
+
+#: Engines a cache-aware sweep can run on: the scalar fast engine, or the
+#: vectorized batch engine with scalar fallback.
+SWEEP_ENGINES = ("fast", "batch")
+
+#: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
+#: flush.  Bounds how many completed runs a crash could lose from the
+#: cache (never from the caller's results) while still batching the fsync
+#: traffic.
+PUT_CHUNK = 32
 
 #: ``on_result(index, result)`` — invoked as runs complete (completion
 #: order under ``jobs > 1``, task order serially).
 ResultHook = Callable[[int, RunResult], None]
 
+#: ``on_result(index, result, cached)`` — :func:`run_cached`'s hook.
+CachedResultHook = Callable[[int, RunResult, bool], None]
+
 #: ``on_shard(report)`` — invoked once per shard as it finishes; the
 #: service layer collects these into the job manifest.
 ShardHook = Callable[[ShardReport], None]
+
+#: Signature of :func:`execute_tasks` — injectable into :func:`run_cached`
+#: so tests can gate and instrument execution without the real pool.
+ExecuteFn = Callable[..., List[RunResult]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,3 +362,106 @@ def run_sweep_batched(
                                 perf_counter() - started,
                             )
     return cast(List[RunResult], results)
+
+
+def _keyspace(task: RunTask, engine: str) -> str:
+    """The cache keyspace ``task`` is looked up in under ``engine``."""
+    if engine != "batch":
+        return "fast"
+    from repro.core.batch import coverage_gap
+
+    covered = coverage_gap(task.config, task.workload, task.plan) is None
+    return "batch" if covered else "fast"
+
+
+def run_cached(
+    tasks: Sequence[RunTask],
+    cache: Optional["RunCache"] = None,
+    engine: str = "fast",
+    jobs: int = 1,
+    on_result: Optional[CachedResultHook] = None,
+    slab_shard: Optional[int] = None,
+    on_shard: Optional[ShardHook] = None,
+    execute: Optional[ExecuteFn] = None,
+) -> Tuple[List[RunResult], List[Optional[str]]]:
+    """Execute ``tasks`` behind ``cache``; returns ``(results, keys)``.
+
+    One :meth:`~repro.perf.cache.RunCache.get_many` answers every lookup
+    up front and hits report through ``on_result(i, result, True)`` in
+    task order.  The misses run on ``engine`` — :func:`execute_tasks`
+    for ``"fast"``, the sharded :func:`run_sweep_batched` (taking
+    ``slab_shard`` and ``on_shard``) for ``"batch"``, or ``execute(tasks,
+    jobs=, on_result=)`` when given — and report with ``cached=False`` as
+    they complete.  Fresh results are stored through
+    :meth:`~repro.perf.cache.RunCache.put_many` in chunks of
+    :data:`PUT_CHUNK`.
+
+    Lookups are engine-aware per point: the batch keyspace where the
+    batch engine covers the point, the fast keyspace otherwise.  A fresh
+    result is stored under the keyspace of the engine that produced it
+    (``result.extra["engine"]``), so a covered point rescued by the
+    scalar fallback is stored as a fast entry, never as a batch one.
+    ``keys[i]`` is the key result ``i`` was found or stored under (None
+    without a cache).  Results and keys are in task order.
+
+    The cache's counters are not flushed; that is the caller's call.
+    """
+    if engine not in SWEEP_ENGINES:
+        raise ConfigurationError(
+            f"unknown sweep engine {engine!r}; expected "
+            + " or ".join(repr(e) for e in SWEEP_ENGINES)
+        )
+    results: List[Optional[RunResult]] = [None] * len(tasks)
+    keys: List[Optional[str]] = [None] * len(tasks)
+    keyspaces: List[str] = []
+    if cache is not None:
+        keyspaces = [_keyspace(t, engine) for t in tasks]
+        keys = [
+            cache.key_for(t.config, t.workload, t.plan, engine=ks)
+            for t, ks in zip(tasks, keyspaces)
+        ]
+        results = cache.get_many(cast(List[str], keys))
+    fresh = [i for i, hit in enumerate(results) if hit is None]
+    if on_result is not None:
+        for i, hit in enumerate(results):
+            if hit is not None:
+                on_result(i, hit, True)
+
+    put_buffer: List[Tuple[str, RunResult, str]] = []
+
+    def flush_puts() -> None:
+        if cache is not None and put_buffer:
+            cache.put_many(put_buffer)
+            put_buffer.clear()
+
+    def store(j: int, result: RunResult) -> None:
+        i = fresh[j]
+        results[i] = result
+        if cache is not None:
+            produced = "batch" if result.extra.get("engine") == "batch" else "fast"
+            if produced != keyspaces[i]:
+                task = tasks[i]
+                keys[i] = cache.key_for(
+                    task.config, task.workload, task.plan, engine=produced
+                )
+            put_buffer.append((cast(str, keys[i]), result, produced))
+            if len(put_buffer) >= PUT_CHUNK:
+                flush_puts()
+        if on_result is not None:
+            on_result(i, result, False)
+
+    todo = [tasks[i] for i in fresh]
+    if execute is not None:
+        execute(todo, jobs=jobs, on_result=store)
+    elif engine == "batch":
+        run_sweep_batched(
+            todo,
+            jobs=jobs,
+            on_result=store,
+            slab_shard=slab_shard,
+            on_shard=on_shard,
+        )
+    else:
+        execute_tasks(todo, jobs=jobs, on_result=store)
+    flush_puts()
+    return cast(List[RunResult], results), keys

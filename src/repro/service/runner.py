@@ -1,13 +1,10 @@
-"""Single-job execution: cache dedup, worker-shard fan-out, run records.
+"""Single-job execution: the service's unit of work and its run records.
 
-:func:`execute_job` is the service's unit of work.  It expands a
-:class:`~repro.service.spec.JobSpec` into run descriptions in the exact
-task order of :func:`repro.experiments.sweep.run_sweep`, answers every
-run it can from the content-addressed :class:`~repro.perf.cache.RunCache`,
-fans the remainder out to the bounded process-pool shard
-(:func:`repro.perf.executor.execute_tasks`), and stores every fresh
-result back.  Because the task list, seeding, and reassembly are
-identical to the direct sweep path, a job's results — and therefore its
+:func:`execute_job` expands a :class:`~repro.service.spec.JobSpec` into
+run tasks in the exact task order of
+:func:`repro.experiments.sweep.run_sweep` and executes them through the
+same cache-aware loop, :func:`repro.perf.executor.run_cached`.  A job's
+results — and therefore its
 :func:`~repro.analysis.determinism.sweep_fingerprint` — are bit-identical
 to ``run_sweep`` on the same spec, at any ``jobs`` width and any cache
 hit pattern.
@@ -21,31 +18,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, cast
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.determinism import sweep_fingerprint
 from repro.metrics.collector import RunResult
 from repro.perf.cache import RunCache
-from repro.perf.executor import RunTask, execute_tasks
+from repro.perf.executor import ExecuteFn, RunTask, run_cached
 from repro.perf.shards import ShardReport
 from repro.service.spec import JobSpec
 
 __all__ = ["RunRecord", "JobExecution", "execute_job", "EventHook", "ExecuteFn"]
 
-#: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
-#: flush.  Bounds how many completed runs a crash could lose from the
-#: cache (they are never lost from the job itself) while still batching
-#: the fsync traffic.
-PUT_CHUNK = 32
-
 #: ``on_event(kind, policy, load, result)`` with kind in
 #: {"run_cached", "run_done"} — invoked per run (deterministic spec order
 #: for cache hits, completion order for live runs).
 EventHook = Callable[[str, str, float, RunResult], None]
-
-#: Signature of :func:`repro.perf.executor.execute_tasks` — injectable so
-#: tests can gate/instrument execution without touching the real pool.
-ExecuteFn = Callable[..., List[RunResult]]
 
 
 @dataclass(frozen=True)
@@ -93,123 +80,55 @@ def execute_job(
     on_event: Optional[EventHook] = None,
     slab_shard: Optional[int] = None,
 ) -> JobExecution:
-    """Execute one job: cache lookups, pool fan-out, result storage.
+    """Execute one job through :func:`repro.perf.executor.run_cached`.
 
-    ``spec.engine == "batch"`` routes execution through the sharded
-    :func:`repro.perf.executor.run_sweep_batched` path (unless
-    ``execute`` is injected): covered runs are split into per-worker
-    sub-slabs scheduled next to scalar-fallback tasks on one pool, the
-    resulting shard layout and per-shard timings land in
-    :attr:`JobExecution.shards`, and ``slab_shard`` overrides the shard
-    size.  Cache keys are engine-aware per run — batch keyspace for
-    points the vectorized model covers, scalar keyspace for fallback
-    points.
-
-    Cache I/O is slab-granular: one :meth:`~repro.perf.cache.RunCache.
-    get_many` answers every lookup up front (an all-hit replay costs one
-    counter flush, not one per run), and fresh results are stored through
-    :meth:`~repro.perf.cache.RunCache.put_many` in chunks of
-    :data:`PUT_CHUNK`.
+    ``execute`` overrides the executor (tests gate and instrument
+    execution through it); ``slab_shard`` and the shard reports in
+    :attr:`JobExecution.shards` apply to ``spec.engine == "batch"``.  The
+    cache's counters are flushed once the job is done.
     """
-    batch_covers: Optional[Callable[..., Optional[str]]] = None
-    shard_reports: List[ShardReport] = []
-    if spec.engine == "batch":
-        from repro.core.batch import coverage_gap
-        from repro.perf.executor import run_sweep_batched
-
-        batch_covers = coverage_gap
-        run_execute = run_sweep_batched if execute is None else execute
-    else:
-        run_execute = execute_tasks if execute is None else execute
     plan = spec.plan()
     descriptions = spec.run_descriptions()
-    results: Dict[str, List[Optional[RunResult]]] = {
-        p: [None] * len(spec.loads) for p in spec.policies
-    }
-    records: List[Optional[RunRecord]] = [None] * len(descriptions)
-    tasks: List[RunTask] = []
-    #: Parallel to ``tasks``: (description index, policy, load slot, key,
-    #: engine keyspace of the point).
-    meta: List[tuple] = []
-    start = time.perf_counter()
+    tasks = [RunTask(d.config, d.workload, plan) for d in descriptions]
+    hit = [False] * len(tasks)
+    shard_reports: List[ShardReport] = []
 
-    # One batched lookup for the whole job, in deterministic spec order.
-    point_engines: List[str] = []
-    keys: List[Optional[str]] = []
-    for desc in descriptions:
-        point_engine = "fast"
-        if batch_covers is not None and (
-            batch_covers(desc.config, desc.workload, plan) is None
-        ):
-            point_engine = "batch"
-        point_engines.append(point_engine)
-        keys.append(
-            cache.key_for(desc.config, desc.workload, plan, engine=point_engine)
-            if cache is not None
-            else None
-        )
-    cached: List[Optional[RunResult]] = (
-        cache.get_many(cast(List[str], keys))
-        if cache is not None
-        else [None] * len(descriptions)
-    )
-
-    load_index = {load: li for li, load in enumerate(spec.loads)}
-    for di, desc in enumerate(descriptions):
-        key = keys[di]
-        hit = cached[di]
-        if hit is not None:
-            records[di] = RunRecord(desc.policy, desc.load, key, hit=True)
-            results[desc.policy][load_index[desc.load]] = hit
-            if on_event is not None:
-                on_event("run_cached", desc.policy, desc.load, hit)
-            continue
-        records[di] = RunRecord(desc.policy, desc.load, key, hit=False)
-        tasks.append(RunTask(desc.config, desc.workload, plan))
-        meta.append(
-            (di, desc.policy, load_index[desc.load], key, point_engines[di])
-        )
-
-    put_buffer: List[tuple] = []
-
-    def flush_puts() -> None:
-        if cache is not None and put_buffer:
-            cache.put_many(put_buffer)
-            put_buffer.clear()
-
-    def on_result(index: int, result: RunResult) -> None:
-        _, policy, li, key, point_engine = meta[index]
-        results[policy][li] = result
-        if cache is not None and key is not None:
-            put_buffer.append((key, result, point_engine))
-            if len(put_buffer) >= PUT_CHUNK:
-                flush_puts()
+    def on_result(i: int, result: RunResult, cached: bool) -> None:
+        hit[i] = cached
         if on_event is not None:
-            on_event("run_done", policy, spec.loads[li], result)
+            kind = "run_cached" if cached else "run_done"
+            on_event(kind, descriptions[i].policy, descriptions[i].load, result)
 
-    if execute is None and spec.engine == "batch":
-        run_execute(
-            tasks,
-            jobs=jobs,
-            on_result=on_result,
-            slab_shard=slab_shard,
-            on_shard=shard_reports.append,
-        )
-    else:
-        run_execute(tasks, jobs=jobs, on_result=on_result)
-    flush_puts()
+    start = time.perf_counter()
+    results, keys = run_cached(
+        tasks,
+        cache,
+        spec.engine,
+        jobs,
+        on_result=on_result,
+        slab_shard=slab_shard,
+        on_shard=shard_reports.append,
+        execute=execute,
+    )
     if cache is not None:
         cache.flush_counters()
+    execute_seconds = time.perf_counter() - start
 
-    full = {p: cast(List[RunResult], list(rs)) for p, rs in results.items()}
-    done_records = cast(List[RunRecord], records)
-    hits = sum(1 for r in done_records if r.hit)
+    n = len(spec.loads)
+    full = {
+        policy: results[pi * n:(pi + 1) * n]
+        for pi, policy in enumerate(spec.policies)
+    }
+    records = [
+        RunRecord(d.policy, d.load, key, hit=h)
+        for d, key, h in zip(descriptions, keys, hit)
+    ]
     return JobExecution(
         results=full,
-        records=done_records,
-        hits=hits,
-        executed=len(tasks),
+        records=records,
+        hits=sum(hit),
+        executed=len(tasks) - sum(hit),
         fingerprint=sweep_fingerprint(full),
-        execute_seconds=time.perf_counter() - start,
+        execute_seconds=execute_seconds,
         shards=tuple(shard_reports),
     )

@@ -28,6 +28,7 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.errors import JobSpecError
 from repro.metrics.collector import MeasurementPlan
+from repro.perf.executor import SWEEP_ENGINES
 from repro.traffic.patterns import PATTERNS
 from repro.traffic.workload import WorkloadSpec
 
@@ -116,7 +117,7 @@ class JobSpec:
             )
         if self.priority not in PRIORITIES:
             raise JobSpecError(f"unknown priority {self.priority!r}")
-        if self.engine not in ("fast", "batch"):
+        if self.engine not in SWEEP_ENGINES:
             raise JobSpecError(f"unknown engine {self.engine!r}")
         # Plan validation happens eagerly so a bad spec is rejected at
         # submission, not mid-execution.
