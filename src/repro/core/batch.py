@@ -37,9 +37,10 @@ Fidelity contract (enforced by the statistical-equivalence harness in
   equivalent only.
 * **Integer cycle grid**: service completions are rounded up to the next
   cycle before delivery, intra-board deliveries keep the fast engine's
-  same-cycle hand-off, and blocked senders retry once per cycle instead of
-  exactly at the freeing pop.  These quantizations shift per-packet timing
-  by under a cycle and are covered by the declared tolerances.
+  same-cycle hand-off, and blocked senders retry on the cycle after their
+  pair queue pops instead of exactly at the freeing pop.  These
+  quantizations shift per-packet timing by under a cycle and are covered
+  by the declared tolerances.
 * **Latency proxy**: per-packet identity is not tracked; labeled latency
   pairs the j-th labeled delivery with the j-th labeled injection (FIFO
   proxy, exact in expectation for drained runs).  ``p99_latency`` and
@@ -400,8 +401,10 @@ class BatchEngine:
         self.p_started = np.zeros(RN, dtype=np.int64)
         self.p_busy = np.zeros(RN, dtype=bool)
         self.p_blocked = np.zeros(RN, dtype=bool)
-        # Blocked senders as a compact index list (retried once per cycle).
+        # Blocked senders as a compact index list sorted by pair queue
+        # (oldest first within a queue), with their pair queues beside.
         self.blk = np.zeros(0, dtype=np.int64)
+        self.blk_pq = np.zeros(0, dtype=np.int64)
         # Pair transmitter queues: bounded rings of local dest-node ids.
         self.tx_ring = np.zeros(RBB * self.CAP, dtype=np.int16)
         self.tx_head = np.zeros(RBB, dtype=np.int64)
@@ -543,9 +546,9 @@ class BatchEngine:
             clock_ghz=cfg.router.clock_ghz,
         )
         he = self.he
-        times_parts: List[np.ndarray] = []
-        rn_parts: List[np.ndarray] = []
-        counts = np.zeros(R * N, dtype=np.int64)
+        RN = R * N
+        key_parts: List[np.ndarray] = []
+        counts = np.zeros(RN, dtype=np.int64)
         self.inj_measure = np.zeros(R, dtype=np.int64)
         self.pre_wu_inj = np.zeros(R, dtype=np.int64)
         self.lab_inj = np.zeros(R, dtype=np.int64)
@@ -582,8 +585,9 @@ class BatchEngine:
                     t = t[: np.searchsorted(t, he)]
                 rn = r * N + n
                 counts[rn] = len(t)
-                times_parts.append(t)
-                rn_parts.append(np.full(len(t), rn, dtype=np.int64))
+                key = t * RN
+                key += rn
+                key_parts.append(key)
                 lo = int(np.searchsorted(t, self.wu))
                 hi = int(np.searchsorted(t, self.me))
                 self.inj_measure[r] += hi - lo
@@ -602,19 +606,22 @@ class BatchEngine:
             prefix = np.zeros(len(lab) + 1)
             np.cumsum(lab, out=prefix[1:])
             self.lab_prefix.append(prefix)
-        self.p_off = np.zeros(R * N + 1, dtype=np.int64)
+        self.p_off = np.zeros(RN + 1, dtype=np.int64)
         np.cumsum(counts, out=self.p_off[1:])
-        self.flat_dest = (
-            np.concatenate(dest_parts) if dest_parts else np.zeros(0, np.int16)
-        )
-        times_all = np.concatenate(times_parts) if times_parts else np.zeros(0, np.int64)
-        rn_all = np.concatenate(rn_parts) if rn_parts else np.zeros(0, np.int64)
-        order = np.argsort(times_all, kind="stable")
-        self.evt_rn = rn_all[order]
-        per_cycle = np.bincount(times_all.astype(np.int64), minlength=he + 1)
-        self.evt_off = np.zeros(he + 2, dtype=np.int64)
-        np.cumsum(per_cycle, out=self.evt_off[1 : len(per_cycle) + 1])
-        self.evt_off[len(per_cycle) + 1 :] = self.evt_off[len(per_cycle)]
+        self.flat_dest = np.concatenate(dest_parts)
+        del dest_parts
+        # Injection CSR by one in-place sort of the event keys
+        # ``t * RN + rn``.  Each node's times strictly increase, so the
+        # keys are unique and sort into exactly the (time, node) order a
+        # stable time sort gives.  Parts are dropped as soon as they are
+        # joined, so the build holds at most two copies of the events.
+        keys = np.concatenate(key_parts)
+        del key_parts
+        keys.sort()
+        cycle_keys = np.arange(he + 2, dtype=np.int64) * RN
+        self.evt_off = np.searchsorted(keys, cycle_keys)
+        np.remainder(keys, RN, out=keys)
+        self.evt_rn = keys
         # Compressed nonzero-injection-cycle index (ascending) — the
         # time-skip loop's "next injection" pointer walks this instead of
         # scanning the dense CSR offsets.
@@ -898,7 +905,8 @@ class BatchEngine:
 
         Every phase is event-driven: the only indices examined each cycle
         are the ones carried by the event rings (injections, port exits,
-        deliveries, service ends) plus the compact blocked-sender list, so
+        deliveries, service ends) plus the compact blocked-sender list,
+        of which only senders whose pair queue popped are retried, so
         per-cycle cost scales with actual activity, not with slab size.
         With ``time_skip`` (the default) the loop additionally jumps over
         cycles that provably execute no event — see
@@ -909,7 +917,7 @@ class BatchEngine:
         benchmark gates ``time_skip=True`` against ``time_skip=False``
         fingerprints at every grid size.
         """
-        SEND, SER = self.SEND, self.SER
+        SEND, SER, CAP = self.SEND, self.SER, self.CAP
         N, B, D = self.N, self.B, self.D
         wu, me, he, Wc = self.wu, self.me, self.he, self.Wc
         evt_rn, evt_off = self.evt_rn, self.evt_off
@@ -979,7 +987,10 @@ class BatchEngine:
                 recv_cand.append(arr)
             # (3) Send-port exits route their packet; blocked senders
             # retry in the same ranked push (blocked first, so they keep
-            # their earlier admission priority).
+            # their earlier admission priority).  Only senders whose pair
+            # queue has a free slot retry: a sender blocks only when its
+            # push fills the queue, and only a dispatch pop frees a slot,
+            # so any other retry would be rejected with no effect.
             rn_e = None
             slot = ring_pexit[slot_i]
             if slot:
@@ -1006,42 +1017,45 @@ class BatchEngine:
                     rem_rn = rn_e[rem]
                     rem_pq = (runs_e[rem] * B + sb_e[rem]) * B + db_e[rem]
                     rem_loc = dest_e[rem] % D
-            nblk = len(self.blk)
-            if nblk or rem_rn is not None:
-                if nblk:
-                    tel.blocked_retries += nblk
-                    blk = self.blk
-                    dest_b = flat_dest[
-                        p_off[blk] + p_started[blk] - 1
-                    ].astype(np.int64)
-                    blk_pq = ((blk // N) * B + (blk % N) // D) * B + dest_b // D
+            blk, blk_pq = self.blk, self.blk_pq
+            nret = 0
+            if len(blk):
+                retry = self.tx_qlen[blk_pq] < CAP
+                nret = int(np.count_nonzero(retry))
+            if nret or rem_rn is not None:
+                if nret:
+                    tel.blocked_retries += nret
+                    rblk, rpq = blk[retry], blk_pq[retry]
+                    rloc = flat_dest[p_off[rblk] + p_started[rblk] - 1] % D
                     if rem_rn is not None:
-                        rn_p = _cat([blk, rem_rn], self._st_prn)
-                        pq_p = _cat([blk_pq, rem_pq], self._st_ppq)
-                        loc_p = _cat([dest_b % D, rem_loc], self._st_ploc)
+                        rn_p = _cat([rblk, rem_rn], self._st_prn)
+                        pq_p = _cat([rpq, rem_pq], self._st_ppq)
+                        loc_p = _cat([rloc, rem_loc], self._st_ploc)
                     else:
-                        rn_p, pq_p, loc_p = blk, blk_pq, dest_b % D
+                        rn_p, pq_p, loc_p = rblk, rpq, rloc
+                    keep = ~retry
+                    blk, blk_pq = blk[keep], blk_pq[keep]
                 else:
                     rn_p, pq_p, loc_p = rem_rn, rem_pq, rem_loc
                 admit, srn, order = push(pq_p, loc_p, rn_p, t, poked)
-                if nblk:
-                    if rem_rn is not None:
-                        sfresh = order >= nblk
-                        freed = srn[admit & ~sfresh]
-                        newly = srn[~admit & sfresh]
-                        if len(newly):
-                            p_blocked[newly] = True
-                    else:
-                        freed = srn[admit]
-                    if len(freed):
-                        p_blocked[freed] = False
-                        send_cand.append(freed)
-                    self.blk = srn[~admit]
-                else:
-                    newly = srn[~admit]
-                    if len(newly):
-                        p_blocked[newly] = True
-                        self.blk = newly
+                fresh = order >= nret
+                freed = srn[admit & ~fresh]
+                if len(freed):
+                    p_blocked[freed] = False
+                    send_cand.append(freed)
+                newly = srn[~admit & fresh]
+                if len(newly):
+                    p_blocked[newly] = True
+                # Merge the rejected senders back by pair queue.  Within a
+                # queue the ones still waiting are older, so the stable
+                # sort keeps them first.
+                rej = ~admit
+                if rej.any():
+                    pq_all = np.concatenate((blk_pq, pq_p[order[rej]]))
+                    by_pq = np.argsort(pq_all, kind="stable")
+                    blk = np.concatenate((blk, srn[rej]))[by_pq]
+                    blk_pq = pq_all[by_pq]
+                self.blk, self.blk_pq = blk, blk_pq
             # (5) Send-port starts (same-cycle turnaround): candidates are
             # exactly the nodes whose state changed this cycle.
             if send_cand:
@@ -1448,8 +1462,10 @@ class BatchEngine:
         ):
             setattr(self, name, getattr(self, name)[keep_n])
         if len(self.blk):
-            blk = self.blk[keep_n[self.blk]]
+            kb = keep_n[self.blk]
+            blk, bpq = self.blk[kb], self.blk_pq[kb]
             self.blk = new_of_old[blk // N] * N + blk % N
+            self.blk_pq = new_of_old[bpq // BB] * BB + bpq % BB
         # Pair-major arrays (tx_ring is CAP-wide per pair) and the
         # pair -> channels reverse index (values are channel ids).
         keep_pq = np.repeat(keep_r, BB)

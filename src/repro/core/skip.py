@@ -123,11 +123,11 @@ def next_event_time(
       even though no packet moves, because *when* a run freezes gates
       which control-plane updates still touch its counters.
     * ``t + 1`` itself when a dispatch served packets this cycle while
-      senders sit blocked (``retry_pending``): a freed queue slot admits
-      a blocked sender on the very next cycle in the unskipped engine.
-      While no pop occurs, a blocked sender's pair queue stays full and
-      every retry is an exact no-op, so blocked senders alone never
-      force single-stepping.
+      senders sit blocked (``retry_pending``): blocked senders retry on
+      the cycle after their pair queue pops, in the unskipped engine
+      too.  While no pop occurs, a blocked sender's pair queue stays
+      full and the engine does not retry it, so blocked senders alone
+      never force single-stepping.
     """
     t1 = t + 1
     if retry_pending:

@@ -181,6 +181,103 @@ def test_batch_results_are_tagged(small_grid):
         assert result.extra["events"] == 0
 
 
+# ----------------------------------------------------------------------
+# Slab construction
+# ----------------------------------------------------------------------
+def reference_injection_csr(runs, hard_end):
+    """Injection CSR the plain way: redraw every node's injection times,
+    then stable-argsort (time, node) events and count per cycle."""
+    import numpy as np
+
+    from repro.sim.rng import RngRegistry, geometric_gap_array
+    from repro.traffic.capacity import CapacityParams
+
+    cfg = runs[0][0]
+    params = CapacityParams(
+        packet_bits=cfg.router.packet_bytes * 8,
+        optical_gbps=cfg.power_levels.highest.bit_rate_gbps,
+        electrical_gbps=cfg.router.port_gbps,
+        clock_ghz=cfg.router.clock_ghz,
+    )
+    nodes = cfg.topology.total_nodes
+    times, rns = [], []
+    for r, (_, workload, _) in enumerate(runs):
+        rate = workload.injection_rate(cfg.topology, params)
+        registry = RngRegistry(seed=workload.seed)
+        for n in range(nodes):
+            t = np.zeros(0, dtype=np.int64)
+            if rate > 0.0:
+                # One oversized draw: chunking never changes the values.
+                stream = registry.stream(f"inject.{n}")
+                size = int(2 * hard_end * rate) + 64
+                t = np.cumsum(geometric_gap_array(stream, rate, size))
+                assert t[-1] >= hard_end
+                t = t[t < hard_end]
+            times.append(t)
+            rns.append(np.full(len(t), r * nodes + n, dtype=np.int64))
+    times_all = np.concatenate(times)
+    order = np.argsort(times_all, kind="stable")
+    per_cycle = np.bincount(times_all, minlength=hard_end + 1)
+    evt_off = np.zeros(hard_end + 2, dtype=np.int64)
+    np.cumsum(per_cycle, out=evt_off[1:])
+    counts = np.array([len(t) for t in times])
+    return np.concatenate(rns)[order], evt_off, np.flatnonzero(per_cycle), counts
+
+
+def test_key_sorted_injection_csr_matches_stable_argsort():
+    import numpy as np
+
+    runs = [
+        (make_config("P-B"), WorkloadSpec("complement", 0.6, seed=1), PLAN),
+        (make_config("NP-NB"), WorkloadSpec("uniform", 0.6, seed=2), PLAN),
+        (make_config("P-NB"), WorkloadSpec("complement", 0.0, seed=1), PLAN),
+        (make_config("NP-B"), WorkloadSpec("butterfly", 0.9, seed=3), PLAN),
+        (make_config("P-B"), WorkloadSpec("uniform", 0.2, seed=1), PLAN),
+    ]
+    engine = BatchEngine(runs)
+    evt_rn, evt_off, inj_cycles, counts = reference_injection_csr(
+        runs, engine.he
+    )
+    assert len(evt_rn) > 0
+    assert np.array_equal(engine.evt_rn, evt_rn)
+    assert np.array_equal(engine.evt_off, evt_off)
+    assert np.array_equal(engine.inj_cycles, inj_cycles)
+    assert np.array_equal(np.diff(engine.p_off), counts)
+    # The zero-load run injects nothing.
+    nodes = engine.N
+    assert not counts[2 * nodes : 3 * nodes].any()
+
+
+def test_slab_build_peak_memory_stays_near_retained_state():
+    """Building the injection CSR must not hold several copies of the
+    event list at once: the build's traced peak stays within 2x of what
+    the finished engine keeps."""
+    import tracemalloc
+
+    plan = MeasurementPlan(warmup=8000, measure=10000, drain_limit=16000)
+    runs = [
+        (
+            ERapidConfig(policy=POLICIES[policy]),
+            WorkloadSpec(pattern=pattern, load=load, seed=1),
+            plan,
+        )
+        for pattern in ("uniform", "complement")
+        for policy in ("NP-NB", "P-B")
+        for load in (0.1, 0.3, 0.5, 0.7, 0.9)
+    ]
+    assert len(runs) == 20
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        engine = BatchEngine(runs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert engine.R == 20
+    retained = current - base
+    assert peak - base <= 2 * retained, (peak - base, retained)
+
+
 def test_batch_run_is_deterministic():
     tasks = grid_tasks(patterns=("complement",), loads=(0.4,))
     first = BatchEngine([(t.config, t.workload, t.plan) for t in tasks]).run()
@@ -393,6 +490,41 @@ def test_time_skip_identity_across_shard_layouts(small_grid):
     for jobs in (1, 2):
         res = run_sweep_batched(tasks, jobs=jobs, time_skip=False)
         assert sweep_fingerprint({"grid": res}) == base, jobs
+
+
+def test_blocked_senders_keep_retry_every_cycle_results():
+    """Two-slot pair queues saturate, so senders block all the time.
+    The pinned values come from the engine that retried every blocked
+    sender on every cycle; retrying only senders whose queue popped must
+    not move them.  Retries then happen only on the cycle after a pop,
+    so skip and no-skip modes count the same retries."""
+    from dataclasses import replace
+
+    runs = [
+        (
+            replace(make_config(policy), tx_queue_capacity=2),
+            WorkloadSpec(pattern=pattern, load=load, seed=1),
+            PLAN,
+        )
+        for policy, pattern, load in (
+            ("NP-NB", "uniform", 0.9),
+            ("P-B", "uniform", 0.9),
+            ("NP-NB", "complement", 0.9),
+            ("P-B", "butterfly", 0.7),
+            ("P-NB", "uniform", 0.5),
+        )
+    ]
+    skip = BatchEngine(runs, time_skip=True)
+    payload = skip.run_payload()
+    assert payload.delivered_measure.tolist() == [295, 295, 98, 232, 187]
+    assert payload.lab_del.tolist() == [332, 332, 164, 280, 200]
+    assert payload.avg_latency.tolist() == pytest.approx(
+        [341.186747, 341.186747, 1936.335366, 239.278571, 146.335], abs=1e-6
+    )
+    noskip = BatchEngine(runs, time_skip=False)
+    noskip.run_payload()
+    assert skip.telemetry.blocked_retries > 0
+    assert skip.telemetry.blocked_retries == noskip.telemetry.blocked_retries
 
 
 def test_engine_exposes_telemetry_in_both_modes():

@@ -16,7 +16,6 @@ from repro.network.topology import ERapidTopology
 from repro.perf.executor import RunTask
 from repro.perf.shards import (
     MIN_SHARD,
-    OVERSUBSCRIBE,
     SLAB_CAP,
     ShardSpec,
     effective_shard_size,
@@ -49,8 +48,8 @@ def test_jobs1_uses_full_slab_cap():
 
 
 def test_heuristic_targets_oversubscribed_workers():
-    # 144 covered runs on 4 workers × OVERSUBSCRIBE shards each.
-    expected = -(-144 // (4 * OVERSUBSCRIBE))  # ceil division
+    # 144 covered runs on 4 workers: one shard per worker.
+    expected = -(-144 // 4)  # ceil division
     assert MIN_SHARD <= expected <= SLAB_CAP
     assert effective_shard_size(covered=144, jobs=4) == expected
 
@@ -83,6 +82,28 @@ def test_override_wins_and_is_clamped():
 # ----------------------------------------------------------------------
 # plan_shards
 # ----------------------------------------------------------------------
+def test_reproduce_sweep_plans_one_shard_per_worker():
+    # The paper's Figure 5/6 sweep stage: 4 patterns x 4 policies x 5
+    # loads, all covered and all in one slab.
+    import inspect
+
+    from repro.experiments.runner import FIGURE_PATTERNS, reproduce_all
+    from repro.experiments.sweep import SweepSpec
+
+    loads = inspect.signature(reproduce_all).parameters["loads"].default
+    plan = MeasurementPlan(warmup=8000, measure=10000, drain_limit=16000)
+    tasks = [
+        task
+        for pattern in FIGURE_PATTERNS.values()
+        for task in SweepSpec(pattern=pattern, loads=loads, plan=plan).tasks()
+    ]
+    assert len(tasks) == 80
+    shard_plan = plan_shards(tasks, jobs=2)
+    assert shard_plan.covered_runs == 80
+    assert [s.runs for s in shard_plan.batch_shards] == [40, 40]
+    assert shard_plan.scalar_indices == ()
+
+
 def test_plan_covers_every_index_exactly_once():
     tasks = make_tasks(patterns=("uniform", "complement"))
     plan = plan_shards(tasks, jobs=2, slab_shard=2)
