@@ -4,19 +4,21 @@ The paper's evaluation is a (pattern × policy × load) matrix of
 *independent* simulation runs; this package makes that matrix cheap:
 
 ``repro.perf.executor``
-    Fans runs out to a process pool with picklable task/result transport.
+    ``run_sweep_batched`` is the one execution loop, for the fast and the
+    batch engine at any ``jobs`` width: one work queue of batch shards
+    (per-worker sub-slabs of the vectorized engine, with struct-of-arrays
+    result transport) and scalar runs, run inline or on one process pool.
     Results are bit-identical to serial execution — each run seeds its own
     :class:`~repro.sim.rng.RngRegistry` from the workload seed via
     ``SeedSequence`` spawn keys, so worker scheduling cannot perturb any
     stream (the common-random-numbers contract survives parallelism).
-    ``run_sweep_batched`` routes batch-covered runs through the vectorized
-    engine as per-worker sub-slab shards next to scalar fallback on one
-    unified pool queue, with struct-of-arrays result transport.
+    ``run_cached`` puts the run cache in front of it.
 
 ``repro.perf.shards``
-    Shard planning for the sharded batch path: the deterministic
-    ``(tasks, jobs, slab_shard) -> ShardPlan`` layout, the shard-size
-    heuristic, and the ``ShardReport`` timings that land in job manifests.
+    Shard planning: the deterministic
+    ``(tasks, jobs, slab_shard, engine) -> ShardPlan`` layout, the
+    shard-size heuristic, and the ``ShardReport`` timings that land in job
+    manifests.
 
 ``repro.perf.cache``
     A content-addressed on-disk store keyed on the full run description
@@ -35,12 +37,12 @@ The paper's evaluation is a (pattern × policy × load) matrix of
 """
 
 from repro.perf.cache import RunCache, default_cache_dir, run_cache_key
-from repro.perf.executor import RunTask, execute_tasks
+from repro.perf.executor import RunTask, run_sweep_batched
 
 __all__ = [
     "RunCache",
     "RunTask",
     "default_cache_dir",
-    "execute_tasks",
     "run_cache_key",
+    "run_sweep_batched",
 ]

@@ -654,7 +654,7 @@ def bench_batch(quick: bool = False, jobs: int = 4) -> Dict[str, Any]:
     )
     from repro.core.policies import POLICIES
     from repro.experiments.sweep import PAPER_LOADS
-    from repro.perf.executor import RunTask, execute_tasks, run_sweep_batched
+    from repro.perf.executor import RunTask, run_sweep_batched
     from repro.perf.shards import plan_shards
 
     if quick:
@@ -713,7 +713,7 @@ def bench_batch(quick: bool = False, jobs: int = 4) -> Dict[str, Any]:
     scalar_s = float("inf")
     for rep in range(repeats):
         start = perf_counter()
-        results = execute_tasks(tasks, jobs=jobs)
+        results = run_sweep_batched(tasks, jobs=jobs, engine="fast")
         scalar_s = min(scalar_s, perf_counter() - start)
         if rep == 0:
             scalar_results = results
@@ -877,7 +877,9 @@ def bench_batch(quick: bool = False, jobs: int = 4) -> Dict[str, Any]:
         )
 
     start = perf_counter()
-    execute_tasks([tasks[i] for i in lowload_indices], jobs=jobs)
+    run_sweep_batched(
+        [tasks[i] for i in lowload_indices], jobs=jobs, engine="fast"
+    )
     lowload_scalar_s = perf_counter() - start
     n_low = len(lowload_indices)
     grid_rps = runs / batch_s if batch_s > 0 else 0.0

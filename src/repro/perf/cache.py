@@ -176,7 +176,7 @@ class RunCache:
     ----------
     root:
         Cache directory; defaults to :func:`default_cache_dir`.  Created
-        lazily on the first :meth:`put`.
+        lazily on the first :meth:`put_many`.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
@@ -201,76 +201,16 @@ class RunCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None (counts a hit/miss)."""
-        path = self._path(key)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            result = RunResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, corrupt or truncated entry: a miss, never an error.
-            with self._lock:
-                self.misses += 1
-            return None
-        with self._lock:
-            self.hits += 1
-        return result
-
-    def put(self, key: str, result: RunResult, engine: str = "fast") -> None:
-        """Store ``result`` under ``key``, crash- and race-safe.
-
-        The payload goes to a uniquely-named temp file in the cache
-        directory (``mkstemp`` — unique even across threads sharing a
-        PID), is flushed to disk, and is then ``os.replace``d into place.
-        A crash mid-write leaves only a stray ``*.tmp`` file, never a torn
-        entry; concurrent writers of the same key each publish a complete
-        entry and the last replace wins (all writers of one key carry
-        bit-identical payloads by construction).  ``engine`` tags the
-        entry for :meth:`by_engine_stats`; it does not affect the key
-        (callers derive engine-aware keys via :meth:`key_for`).
-        """
-        if engine not in ENGINES:
-            raise CacheError(f"unknown engine keyspace {engine!r}")
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        payload = json.dumps(
-            {
-                "cache_format": CACHE_FORMAT,
-                "engine": engine,
-                "result": result.to_dict(),
-            },
-            sort_keys=True,
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".put-{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            # Never leave the temp file behind on a failed publish.
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        with self._lock:
-            self.puts += 1
-
     # ------------------------------------------------------------------
-    # Batched I/O (slab-granular)
+    # I/O: every read and write is batched (slab-granular)
     # ------------------------------------------------------------------
     def get_many(self, keys: Sequence[str]) -> List[Optional[RunResult]]:
         """Look up many keys; one counter update for the whole batch.
 
-        Results are positional (``None`` per miss).  Semantically
-        identical to ``[self.get(k) for k in keys]`` but takes the
-        counter lock once instead of ``len(keys)`` times and bumps
-        ``batched_gets`` so ``erapid cache stats`` can show how much
-        traffic goes through the batched path.
+        Results are positional: the cached result per key, or ``None``
+        for a missing, corrupt or truncated entry (a miss, never an
+        error).  Each key counts one hit or miss; the counter lock is
+        taken once per call, which also bumps ``batched_gets``.
         """
         out: List[Optional[RunResult]] = []
         hits = misses = 0
@@ -280,7 +220,7 @@ class RunCache:
                 result = RunResult.from_dict(data["result"])
             except (OSError, ValueError, KeyError, TypeError):
                 # Missing, corrupt or truncated entry: a miss, never an
-                # error (same contract as :meth:`get`).
+                # error.
                 misses += 1
                 out.append(None)
                 continue
@@ -297,7 +237,9 @@ class RunCache:
     ) -> int:
         """Store ``(key, result, engine)`` triples; returns the count.
 
-        Two-phase publish with a batched fsync policy:
+        ``engine`` tags each entry for :meth:`by_engine_stats`; it does
+        not affect the key (callers derive engine-aware keys via
+        :meth:`key_for`).  Two-phase publish with a batched fsync policy:
 
         1. **Stage** — every payload is written to its own ``mkstemp``
            temp file, flushed and fsynced (the slow, coalescible I/O all
@@ -310,6 +252,10 @@ class RunCache:
         temp.  A failure anywhere during staging unlinks every temp file
         and publishes nothing; a crash mid-publish leaves a prefix of
         complete entries (each individually valid) and no torn ones.
+        Temp files come from ``mkstemp`` in the cache directory, unique
+        even across threads sharing a PID, so concurrent writers of one
+        key each publish a complete entry and the last replace wins (all
+        writers of one key carry bit-identical payloads by construction).
         Counters are updated once for the whole batch.
         """
         for _, _, engine in items:
@@ -468,7 +414,7 @@ class RunCache:
 
         Session counters reset to zero after the merge so repeated flushes
         never double-count.  The sidecar write is tmp-file + replace like
-        :meth:`put`.
+        :meth:`put_many`.
         """
         with self._lock:
             session = {

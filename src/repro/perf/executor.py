@@ -26,21 +26,25 @@ thing to get right is determinism:
 * **Assembly.**  Results are reassembled by task index, so the output
   sequence never depends on completion order.
 
-:func:`run_cached` is the one cache-aware loop over these executors;
-both the sweep harness and the service's jobs run through it.
+:func:`run_sweep_batched` is the one execution loop, for both engines and
+every ``jobs`` width; :func:`run_cached` is the one cache-aware loop over
+it, and both the sweep harness and the service's jobs run through that.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, cast
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import cast
 
 from repro.core.config import ERapidConfig
-from repro.errors import ConfigurationError
 from repro.metrics.collector import MeasurementPlan, RunResult
-from repro.perf.shards import SLAB_CAP, ShardReport, ShardSpec, plan_shards
+from repro.perf.shards import SLAB_CAP, SWEEP_ENGINES, ShardReport, ShardSpec
+from repro.perf.shards import check_engine, plan_shards
 from repro.traffic.workload import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,17 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RunTask",
     "execute_run",
-    "execute_tasks",
     "run_cached",
     "run_sweep_batched",
     "PUT_CHUNK",
     "SLAB_CAP",
     "SWEEP_ENGINES",
 ]
-
-#: Engines a cache-aware sweep can run on: the scalar fast engine, or the
-#: vectorized batch engine with scalar fallback.
-SWEEP_ENGINES = ("fast", "batch")
 
 #: Fresh results buffered per :meth:`~repro.perf.cache.RunCache.put_many`
 #: flush.  Bounds how many completed runs a crash could lose from the
@@ -68,7 +67,7 @@ SWEEP_ENGINES = ("fast", "batch")
 PUT_CHUNK = 32
 
 #: ``on_result(index, result)`` — invoked as runs complete (completion
-#: order under ``jobs > 1``, task order serially).
+#: order under a pool, queue order inline).
 ResultHook = Callable[[int, RunResult], None]
 
 #: ``on_result(index, result, cached)`` — :func:`run_cached`'s hook.
@@ -78,8 +77,9 @@ CachedResultHook = Callable[[int, RunResult, bool], None]
 #: service layer collects these into the job manifest.
 ShardHook = Callable[[ShardReport], None]
 
-#: Signature of :func:`execute_tasks` — injectable into :func:`run_cached`
-#: so tests can gate and instrument execution without the real pool.
+#: ``execute(tasks, jobs=, on_result=)`` — injectable into
+#: :func:`run_cached` in place of :func:`run_sweep_batched`, so tests can
+#: gate and instrument execution without the real pool.
 ExecuteFn = Callable[..., List[RunResult]]
 
 
@@ -99,73 +99,22 @@ def execute_run(task: RunTask) -> RunResult:
     return FastEngine(task.config, task.workload, task.plan).run()
 
 
-def _execute_indexed(indexed: Tuple[int, RunTask]) -> Tuple[int, RunResult]:
-    """Worker entry point (module-level so it pickles under spawn)."""
-    index, task = indexed
-    return index, execute_run(task)
+def _execute_item(item: Tuple[Tuple[RunTask, ...], bool, bool]) -> object:
+    """Worker entry point for one work item (module-level: picklable).
 
-
-def execute_tasks(
-    tasks: Sequence[RunTask],
-    jobs: int = 1,
-    on_result: Optional[ResultHook] = None,
-) -> List[RunResult]:
-    """Execute ``tasks``; returns results in task order.
-
-    ``jobs <= 1`` runs inline (zero pool overhead); ``jobs > 1`` fans out
-    to a :class:`~concurrent.futures.ProcessPoolExecutor` of at most
-    ``min(jobs, len(tasks))`` workers.  The returned list is ordered by
-    task index either way, so callers observe identical output.
+    ``item`` is ``(tasks, batch, time_skip)``.  A scalar item holds one
+    task and returns its :class:`RunResult`.  A batch shard returns
+    ``(worker_seconds, BatchResultPayload, telemetry)`` — the compact
+    struct-of-arrays transport, never a pickled RunResult list; the
+    parent decodes it against its own task descriptions.  The telemetry
+    dict carries the slab's cycle/event counters (a handful of ints —
+    negligible next to the payload arrays).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results: List[Optional[RunResult]] = [None] * len(tasks)
-    if jobs == 1 or len(tasks) <= 1:
-        for i, task in enumerate(tasks):
-            result = execute_run(task)
-            results[i] = result
-            if on_result is not None:
-                on_result(i, result)
-        return cast(List[RunResult], results)
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        pending = {
-            pool.submit(_execute_indexed, (i, task))
-            for i, task in enumerate(tasks)
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                index, result = fut.result()
-                results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-    return cast(List[RunResult], results)
-
-
-def _shard_runs(
-    tasks: Sequence[RunTask], shard: ShardSpec
-) -> List[Tuple[ERapidConfig, WorkloadSpec, MeasurementPlan]]:
-    return [
-        (tasks[i].config, tasks[i].workload, tasks[i].plan)
-        for i in shard.indices
-    ]
-
-
-def _execute_batch_shard(
-    args: Tuple[int, Tuple[RunTask, ...], bool],
-) -> Tuple[int, float, object, Optional[dict]]:
-    """Worker entry point for one batch shard (module-level: picklable).
-
-    Returns ``(shard_id, worker_seconds, BatchResultPayload, telemetry)``
-    — the compact struct-of-arrays transport, never a pickled RunResult
-    list; the parent decodes it against its own task descriptions.  The
-    telemetry dict carries the slab's cycle/event counters (a handful of
-    ints — negligible next to the payload arrays).
-    """
+    shard_tasks, batch, time_skip = item
+    if not batch:
+        return execute_run(shard_tasks[0])
     from repro.core.batch import BatchEngine
 
-    shard_id, shard_tasks, time_skip = args
     start = perf_counter()
     engine = BatchEngine(
         [(t.config, t.workload, t.plan) for t in shard_tasks],
@@ -175,7 +124,17 @@ def _execute_batch_shard(
     telemetry = (
         engine.telemetry.to_dict() if engine.telemetry is not None else None
     )
-    return shard_id, perf_counter() - start, payload, telemetry
+    return perf_counter() - start, payload, telemetry
+
+
+def _submit_inline(fn: Callable[[Any], Any], arg: Any) -> Future[Any]:
+    """Run ``fn(arg)`` now, in this process; its outcome as a done future."""
+    fut: Future[Any] = Future()
+    try:
+        fut.set_result(fn(arg))
+    except Exception as exc:  # noqa: BLE001 - re-raised by fut.result()
+        fut.set_exception(exc)
+    return fut
 
 
 def run_sweep_batched(
@@ -185,182 +144,116 @@ def run_sweep_batched(
     slab_shard: Optional[int] = None,
     on_shard: Optional[ShardHook] = None,
     time_skip: bool = True,
+    engine: str = "batch",
 ) -> List[RunResult]:
-    """Execute ``tasks`` on the vectorized batch engine where possible.
+    """Execute ``tasks`` on ``engine``; returns results in task order.
 
-    Tasks the batch model covers (:func:`repro.core.batch.coverage_gap`
-    returns None) are grouped by :func:`repro.core.batch.slab_key` and
-    sharded into per-worker sub-slabs by :func:`repro.perf.shards.
-    plan_shards`; uncovered tasks fall back to the scalar engine.  Under
-    ``jobs > 1`` batch shards and scalar-fallback runs share **one**
-    process pool as a unified work queue, so ``jobs`` saturates the
-    machine regardless of the covered/fallback mix (``slab_shard``
-    overrides the shard-size heuristic; see :mod:`repro.perf.shards`).
-    ``jobs == 1`` executes everything inline with no transport at all.
+    Under ``engine="batch"`` the tasks the batch model covers
+    (:func:`repro.core.batch.coverage_gap` returns None) are grouped by
+    :func:`repro.core.batch.slab_key` and sharded into per-worker
+    sub-slabs by :func:`repro.perf.shards.plan_shards`; the other tasks
+    run on the scalar engine.  ``engine="fast"`` runs every task on the
+    scalar engine.  The plan becomes one queue of work items: one per
+    batch shard, then one per scalar run.  When ``jobs > 1`` and the
+    queue holds more than one item, it feeds one process pool, keeping at
+    most two items in flight per worker; otherwise each item runs inline,
+    in queue order, with no transport at all.  ``slab_shard`` overrides
+    the shard-size heuristic (see :mod:`repro.perf.shards`).
 
-    The returned list is in task order, like :func:`execute_tasks`.
     ``on_result(index, result)`` fires exactly once per index — in task
-    order within a shard as that shard completes, shard completion order
-    across shards.  Shard layout never changes a run's result: every
-    run's state rows are independent, so partitioning is purely a
-    throughput concern (the batch benchmark gates fingerprint identity
-    across ``jobs`` and ``slab_shard`` permutations).
+    order within a shard as that shard completes, item completion order
+    across items (queue order when inline).  ``on_shard`` gets one
+    :class:`ShardReport` per batch shard and one for the scalar shard,
+    once its last run completes.  Shard layout never changes a run's
+    result: every run's state rows are independent, so partitioning is
+    purely a throughput concern (the batch benchmark gates fingerprint
+    identity across ``jobs`` and ``slab_shard`` permutations).
 
-    A batch shard that raises is not fatal: its indices are re-routed to
-    the scalar engine (same pool) and the shard is reported with
-    ``kind="fallback"`` via ``on_shard``; a scalar run's exception
-    propagates, as in :func:`execute_tasks`.
+    A batch shard that raises is not fatal: its indices go to the front
+    of the queue as scalar items and the shard is reported with
+    ``kind="fallback"``; a scalar run's exception propagates.
 
     ``time_skip=False`` forces every batch shard onto the engine's
     unskipped cycle-by-cycle loop — results are bit-identical either way
     (the benchmark gates it); the flag exists for A/B timing and for the
     identity gate itself.
     """
-    from repro.core.batch import BatchEngine, decode_payload
+    from repro.core.batch import decode_payload
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    plan = plan_shards(tasks, jobs=jobs, slab_shard=slab_shard)
+    plan = plan_shards(tasks, jobs=jobs, slab_shard=slab_shard, engine=engine)
     results: List[Optional[RunResult]] = [None] * len(tasks)
     started = perf_counter()
+    #: Work items in queue order: ``(shard, None)`` runs a batch shard,
+    #: ``(shard, i)`` runs task ``i`` alone on the scalar engine — a run
+    #: of the scalar shard, or one rescued from a failed batch shard.
+    queue: deque[Tuple[ShardSpec, Optional[int]]] = deque(
+        (shard, None) for shard in plan.batch_shards
+    )
+    scalar_shard = next((s for s in plan.shards if s.kind == "scalar"), None)
+    scalar_open = 0
+    if scalar_shard is not None:
+        queue.extend((scalar_shard, i) for i in scalar_shard.indices)
+        scalar_open = scalar_shard.runs
 
-    def report(
-        shard: ShardSpec,
-        kind: str,
-        seconds: float,
-        payload_bytes: int = 0,
-        error: Optional[str] = None,
-        telemetry: Optional[dict] = None,
-    ) -> None:
+    def report(shard: ShardSpec, kind: str, seconds: float, **extra: Any) -> None:
         if on_shard is not None:
-            on_shard(
-                ShardReport(
-                    shard_id=shard.shard_id,
-                    kind=kind,
-                    runs=shard.runs,
-                    seconds=seconds,
-                    payload_bytes=payload_bytes,
-                    error=error,
-                    telemetry=telemetry,
-                )
-            )
+            on_shard(ShardReport(shard.shard_id, kind, shard.runs, seconds, **extra))
 
-    def deliver(shard: ShardSpec, decoded: Sequence[RunResult]) -> None:
+    def deliver(indices: Sequence[int], decoded: Sequence[RunResult]) -> None:
         # Task order within the shard — the exactly-once, in-order
         # contract the service's event stream relies on.
-        for i, result in zip(shard.indices, decoded):
+        for i, result in zip(indices, decoded):
             results[i] = result
             if on_result is not None:
                 on_result(i, result)
 
-    def run_scalar_inline(i: int) -> None:
-        result = execute_run(tasks[i])
-        results[i] = result
-        if on_result is not None:
-            on_result(i, result)
-
-    if jobs == 1:
-        for shard in plan.batch_shards:
-            runs = _shard_runs(tasks, shard)
-            start = perf_counter()
-            try:
-                engine = BatchEngine(runs, time_skip=time_skip)
-                payload = engine.run_payload()
-            except Exception as exc:  # noqa: BLE001 - re-routed, not dropped
-                for i in shard.indices:
-                    run_scalar_inline(i)
-                report(
-                    shard,
-                    "fallback",
-                    perf_counter() - start,
-                    error=f"{type(exc).__name__}: {exc}",
+    pooled = jobs > 1 and len(queue) > 1
+    workers = min(jobs, len(queue)) if pooled else 1
+    # Two items in flight per worker keep each one fed while the parent
+    # decodes; inline, the one "in flight" item has already run.
+    depth = 2 * workers if pooled else 1
+    pool_cm = ProcessPoolExecutor(workers) if pooled else nullcontext()
+    with pool_cm as pool:
+        submit = pool.submit if pool is not None else _submit_inline
+        pending: dict[Future[Any], Tuple[ShardSpec, Optional[int]]] = {}
+        while queue or pending:
+            while queue and len(pending) < depth:
+                shard, index = item = queue.popleft()
+                indices = shard.indices if index is None else (index,)
+                work = (
+                    tuple(tasks[i] for i in indices), index is None, time_skip
                 )
-                continue
-            deliver(shard, decode_payload(payload, runs))
-            report(
-                shard,
-                "batch",
-                perf_counter() - start,
-                payload.nbytes,
-                telemetry=(
-                    engine.telemetry.to_dict()
-                    if engine.telemetry is not None
-                    else None
-                ),
-            )
-        scalar_shard = next(
-            (s for s in plan.shards if s.kind == "scalar"), None
-        )
-        if scalar_shard is not None:
-            for i in scalar_shard.indices:
-                run_scalar_inline(i)
-            report(scalar_shard, "scalar", perf_counter() - started)
-        return cast(List[RunResult], results)
-
-    scalar_shard = next((s for s in plan.shards if s.kind == "scalar"), None)
-    n_items = len(plan.batch_shards) + (
-        scalar_shard.runs if scalar_shard is not None else 0
-    )
-    scalar_open = scalar_shard.runs if scalar_shard is not None else 0
-    with ProcessPoolExecutor(max_workers=min(jobs, max(n_items, 1))) as pool:
-        pending: dict[Future, Tuple[str, object]] = {}
-        for shard in plan.batch_shards:
-            fut = pool.submit(
-                _execute_batch_shard,
-                (
-                    shard.shard_id,
-                    tuple(tasks[i] for i in shard.indices),
-                    time_skip,
-                ),
-            )
-            pending[fut] = ("batch", shard)
-        if scalar_shard is not None:
-            for i in scalar_shard.indices:
-                fut = pool.submit(_execute_indexed, (i, tasks[i]))
-                pending[fut] = ("scalar", i)
-        while pending:
+                pending[submit(_execute_item, work)] = item
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                kind, obj = pending.pop(fut)
-                if kind == "batch":
-                    shard = cast(ShardSpec, obj)
-                    try:
-                        _, seconds, payload, telemetry = fut.result()
-                    except Exception as exc:  # noqa: BLE001 - re-route
-                        for i in shard.indices:
-                            f2 = pool.submit(_execute_indexed, (i, tasks[i]))
-                            pending[f2] = ("rescued", (i, shard))
-                        report(
-                            shard,
-                            "fallback",
-                            perf_counter() - started,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        continue
-                    deliver(
-                        shard,
-                        decode_payload(payload, _shard_runs(tasks, shard)),
-                    )
-                    report(
-                        shard,
-                        "batch",
-                        seconds,
-                        payload.nbytes,  # type: ignore[attr-defined]
-                        telemetry=telemetry,
-                    )
-                else:
-                    index, result = fut.result()
-                    results[index] = result
-                    if on_result is not None:
-                        on_result(index, result)
-                    if kind == "scalar":
+            # Submission order, so simultaneous completions deliver
+            # deterministically.
+            for fut in [f for f in pending if f in done]:
+                shard, index = pending.pop(fut)
+                if index is not None:
+                    deliver((index,), (fut.result(),))
+                    if shard.kind == "scalar":
                         scalar_open -= 1
-                        if scalar_open == 0 and scalar_shard is not None:
-                            report(
-                                scalar_shard,
-                                "scalar",
-                                perf_counter() - started,
-                            )
+                        if scalar_open == 0:
+                            report(shard, "scalar", perf_counter() - started)
+                    continue
+                try:
+                    seconds, payload, telemetry = fut.result()
+                except Exception as exc:  # noqa: BLE001 - re-queued, not dropped
+                    queue.extendleft((shard, i) for i in reversed(shard.indices))
+                    error = f"{type(exc).__name__}: {exc}"
+                    report(shard, "fallback", perf_counter() - started, error=error)
+                    continue
+                runs = [
+                    (tasks[i].config, tasks[i].workload, tasks[i].plan)
+                    for i in shard.indices
+                ]
+                deliver(shard.indices, decode_payload(payload, runs))
+                report(
+                    shard, "batch", seconds,
+                    payload_bytes=payload.nbytes, telemetry=telemetry,
+                )
     return cast(List[RunResult], results)
 
 
@@ -388,11 +281,10 @@ def run_cached(
 
     One :meth:`~repro.perf.cache.RunCache.get_many` answers every lookup
     up front and hits report through ``on_result(i, result, True)`` in
-    task order.  The misses run on ``engine`` — :func:`execute_tasks`
-    for ``"fast"``, the sharded :func:`run_sweep_batched` (taking
-    ``slab_shard`` and ``on_shard``) for ``"batch"``, or ``execute(tasks,
-    jobs=, on_result=)`` when given — and report with ``cached=False`` as
-    they complete.  Fresh results are stored through
+    task order.  The misses run through :func:`run_sweep_batched` on
+    ``engine`` (taking ``slab_shard`` and ``on_shard``), or through
+    ``execute(tasks, jobs=, on_result=)`` when given, and report with
+    ``cached=False`` as they complete.  Fresh results are stored through
     :meth:`~repro.perf.cache.RunCache.put_many` in chunks of
     :data:`PUT_CHUNK`.
 
@@ -406,11 +298,7 @@ def run_cached(
 
     The cache's counters are not flushed; that is the caller's call.
     """
-    if engine not in SWEEP_ENGINES:
-        raise ConfigurationError(
-            f"unknown sweep engine {engine!r}; expected "
-            + " or ".join(repr(e) for e in SWEEP_ENGINES)
-        )
+    check_engine(engine)
     results: List[Optional[RunResult]] = [None] * len(tasks)
     keys: List[Optional[str]] = [None] * len(tasks)
     keyspaces: List[str] = []
@@ -453,15 +341,14 @@ def run_cached(
     todo = [tasks[i] for i in fresh]
     if execute is not None:
         execute(todo, jobs=jobs, on_result=store)
-    elif engine == "batch":
+    else:
         run_sweep_batched(
             todo,
             jobs=jobs,
             on_result=store,
             slab_shard=slab_shard,
             on_shard=on_shard,
+            engine=engine,
         )
-    else:
-        execute_tasks(todo, jobs=jobs, on_result=store)
     flush_puts()
     return cast(List[RunResult], results), keys

@@ -1,12 +1,8 @@
-"""Shard planning for parallel batch-tier sweep execution.
+"""Shard planning for sweep execution.
 
-PR 8's batch engine advanced every slab sequentially in the parent
-process, so ``--engine batch --jobs N`` could only parallelize the scalar
-*fallback* — the fastest tier was the one tier that could not use the
-machine's cores.  This module fixes the planning half of that: it splits
-every covered slab into per-worker **shards** (sub-slabs) and lays them
-out next to the scalar-fallback indices as one unified work queue for the
-``repro.perf`` process pool.
+This module splits every batch-covered slab into per-worker **shards**
+(sub-slabs) and lays them out next to the scalar indices, which
+:func:`repro.perf.executor.run_sweep_batched` turns into one work queue.
 
 Sharding is sound because every run's state rows in a
 :class:`~repro.core.batch.BatchEngine` slab are independent —
@@ -35,7 +31,8 @@ Shard-size heuristic (:func:`effective_shard_size`):
 Shards never cross slab boundaries (a :class:`~repro.core.batch.
 BatchEngine` holds exactly one slab), and within a slab the indices keep
 task order, so the plan is a pure deterministic function of
-``(tasks, jobs, slab_shard)``.
+``(tasks, jobs, slab_shard, engine)``.  The fast engine covers nothing:
+its plan is one scalar shard holding every task.
 """
 
 from __future__ import annotations
@@ -44,15 +41,23 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "SLAB_CAP",
     "MIN_SHARD",
+    "SWEEP_ENGINES",
     "ShardSpec",
     "ShardReport",
     "ShardPlan",
+    "check_engine",
     "effective_shard_size",
     "plan_shards",
 ]
+
+#: Engines a sweep can run on: the scalar fast engine, or the vectorized
+#: batch engine with scalar fallback.
+SWEEP_ENGINES = ("fast", "batch")
 
 #: Run points per :class:`~repro.core.batch.BatchEngine` slab.  Bounds the
 #: struct-of-arrays working set (state is O(runs x wavelengths x boards^2))
@@ -76,8 +81,8 @@ class ShardSpec:
 
     ``kind == "batch"`` shards carry the task indices of one sub-slab;
     the single ``kind == "scalar"`` shard (when present) carries every
-    fallback index — those still execute as individual pool tasks, the
-    spec just groups them for planning and reporting.
+    index the batch engine does not run — those execute as individual
+    work items, the spec just groups them for planning and reporting.
     """
 
     shard_id: int
@@ -98,11 +103,12 @@ class ShardReport:
     """Observed outcome of one shard (timings for the job manifest).
 
     ``seconds`` is worker-measured wall time for ``kind="batch"``, and
-    parent-side elapsed time (start of execution to last completion) for
-    the aggregate ``kind="scalar"`` report.  ``payload_bytes`` is the
+    parent-side elapsed time from the start of execution for the others:
+    to the last completion for the aggregate ``kind="scalar"`` report, to
+    the failure for ``kind="fallback"``.  ``payload_bytes`` is the
     struct-of-arrays transport volume (0 for scalar shards).  A batch
     shard that raised is reported with ``kind="fallback"``: its indices
-    were re-routed to the scalar pool and ``error`` says why.
+    were re-queued as scalar runs and ``error`` says why.
     ``telemetry`` is the slab's :class:`~repro.core.skip.BatchTelemetry`
     counters as a plain dict (batch shards only) — diagnostics, never
     part of the result payload.
@@ -170,15 +176,14 @@ class ShardPlan:
             f"{scalar} scalar fallback run(s) on jobs={self.jobs}"
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "jobs": self.jobs,
-            "shard_size": self.shard_size,
-            "requested_shard": self.requested_shard,
-            "batch_shards": len(self.batch_shards),
-            "scalar_runs": len(self.scalar_indices),
-            "covered_runs": self.covered_runs,
-        }
+
+def check_engine(engine: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``engine`` is a sweep engine."""
+    if engine not in SWEEP_ENGINES:
+        raise ConfigurationError(
+            f"unknown sweep engine {engine!r}; expected "
+            + " or ".join(repr(e) for e in SWEEP_ENGINES)
+        )
 
 
 def effective_shard_size(
@@ -199,24 +204,29 @@ def plan_shards(
     tasks: Sequence[object],
     jobs: int = 1,
     slab_shard: Optional[int] = None,
+    engine: str = "batch",
 ) -> ShardPlan:
-    """Partition ``tasks`` into batch shards plus a scalar-fallback shard.
+    """Partition ``tasks`` into batch shards plus a scalar shard.
 
     ``tasks`` is a sequence of :class:`~repro.perf.executor.RunTask`;
-    coverage and slab membership come from :mod:`repro.core.batch`.  Batch
-    shards are numbered in (slab, chunk) order; the scalar shard, when
-    non-empty, always carries the next id after the last batch shard.
+    under ``engine="batch"`` coverage and slab membership come from
+    :mod:`repro.core.batch`, and ``engine="fast"`` plans every task as
+    scalar.  Batch shards are numbered in (slab, chunk) order; the scalar
+    shard, when non-empty, always carries the next id after the last
+    batch shard.
     """
     from repro.core.batch import coverage_gap, slab_key
 
+    check_engine(engine)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     #: slab key -> task indices, in task order (dict preserves insertion
     #: order, so slab composition is deterministic in the task sequence).
     slabs: Dict[Tuple[object, ...], List[int]] = {}
     scalar_indices: List[int] = []
+    batch = engine == "batch"
     for i, task in enumerate(tasks):
-        if coverage_gap(task.config, task.workload, task.plan) is None:  # type: ignore[attr-defined]
+        if batch and coverage_gap(task.config, task.workload, task.plan) is None:  # type: ignore[attr-defined]
             key = slab_key(task.config, task.workload, task.plan)  # type: ignore[attr-defined]
             slabs.setdefault(key, []).append(i)
         else:

@@ -436,9 +436,9 @@ class SweepService:
             "subscribers": job.subscribers,
         }
         if execution.shards:
-            # Shard layout + per-shard timings of the sharded batch path
-            # (absent for scalar jobs), so a job's parallel execution is
-            # auditable shard by shard.
+            # Shard layout + per-shard timings of the executed runs
+            # (absent when every run was a cache hit), so a job's
+            # execution is auditable shard by shard.
             manifest["shard_layout"] = {
                 "jobs": self.jobs,
                 "shards": [s.to_dict() for s in execution.shards],

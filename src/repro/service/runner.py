@@ -63,8 +63,9 @@ class JobExecution:
     executed: int
     fingerprint: str
     execute_seconds: float
-    #: Per-shard layout and timings when the job ran on the sharded batch
-    #: path (empty for scalar jobs and injected executors).
+    #: Per-shard layout and timings of the executed runs: batch shards and
+    #: one scalar shard (empty when nothing executed, and for injected
+    #: executors).
     shards: Tuple[ShardReport, ...] = field(default=())
 
     @property
@@ -83,9 +84,9 @@ def execute_job(
     """Execute one job through :func:`repro.perf.executor.run_cached`.
 
     ``execute`` overrides the executor (tests gate and instrument
-    execution through it); ``slab_shard`` and the shard reports in
-    :attr:`JobExecution.shards` apply to ``spec.engine == "batch"``.  The
-    cache's counters are flushed once the job is done.
+    execution through it); ``slab_shard`` applies to
+    ``spec.engine == "batch"``.  The cache's counters are flushed once
+    the job is done.
     """
     plan = spec.plan()
     descriptions = spec.run_descriptions()

@@ -24,7 +24,7 @@ from repro.core.config import ERapidConfig
 from repro.core.policies import POLICIES
 from repro.metrics.collector import MeasurementPlan
 from repro.network.topology import ERapidTopology
-from repro.perf.executor import RunTask, execute_tasks, run_sweep_batched
+from repro.perf.executor import RunTask, run_sweep_batched
 from repro.traffic.workload import WorkloadSpec
 
 PLAN = MeasurementPlan(warmup=500, measure=1000, drain_limit=2000)
@@ -105,7 +105,7 @@ def test_limited_dbr_matches_scalar_engine():
         RunTask(capped_config(cap), workload, PLAN) for cap in (0, 1, 2, None)
     ]
     batch = run_sweep_batched(tasks)
-    scalar = execute_tasks(tasks)
+    scalar = run_sweep_batched(tasks, engine="fast")
     for result in batch:
         assert result.extra["engine"] == "batch"
     report = compare_runs(scalar, batch)
@@ -149,7 +149,7 @@ def test_slab_key_splits_on_grid_shaping_inputs():
 def small_grid():
     tasks = grid_tasks()
     batch = run_sweep_batched(tasks)
-    scalar = execute_tasks(tasks)
+    scalar = run_sweep_batched(tasks, engine="fast")
     return tasks, batch, scalar
 
 
@@ -337,7 +337,7 @@ def test_run_sweep_batched_falls_back_for_uncovered_points():
     assert len(results) == 3
     assert results[1].extra["engine"] == "batch"
     # Fallback points run the scalar engine and are bit-identical to it.
-    scalar = execute_tasks([uncovered])
+    scalar = run_sweep_batched([uncovered], engine="fast")
     assert results[0].to_dict() == scalar[0].to_dict()
     assert results[2].to_dict() == scalar[0].to_dict()
     assert results[0].extra.get("engine") != "batch"

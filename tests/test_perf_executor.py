@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.determinism import sweep_fingerprint
 from repro.experiments.sweep import SweepSpec, run_sweep, run_sweep_matrix
 from repro.metrics.collector import MeasurementPlan
-from repro.perf.executor import RunTask, execute_run, execute_tasks
+from repro.perf.executor import RunTask, execute_run, run_sweep_batched
 
 TINY_PLAN = MeasurementPlan(warmup=200, measure=600, drain_limit=1500)
 
@@ -57,7 +57,9 @@ def test_executor_preserves_task_order_and_reports_completions():
         for load in (0.2, 0.3, 0.4)
     ]
     seen = []
-    results = execute_tasks(tasks, jobs=2, on_result=lambda i, r: seen.append(i))
+    results = run_sweep_batched(
+        tasks, jobs=2, on_result=lambda i, r: seen.append(i), engine="fast"
+    )
     assert sorted(seen) == [0, 1, 2]
     # Task order in the returned list regardless of completion order.
     inline = [execute_run(t) for t in tasks]
@@ -66,7 +68,7 @@ def test_executor_preserves_task_order_and_reports_completions():
 
 def test_executor_rejects_nonpositive_jobs():
     with pytest.raises(ValueError):
-        execute_tasks([], jobs=0)
+        run_sweep_batched([], jobs=0, engine="fast")
 
 
 def test_matrix_runs_multiple_panels_in_one_batch():
@@ -108,13 +110,13 @@ def test_sweepspec_tasks_matches_executed_task_list(monkeypatch):
 
     spec = tiny_spec()
     captured = {}
-    real = executor_mod.execute_tasks
+    real = executor_mod.run_sweep_batched
 
-    def recording(tasks, jobs=1, on_result=None):
+    def recording(tasks, **kwargs):
         captured["tasks"] = list(tasks)
-        return real(tasks, jobs=jobs, on_result=on_result)
+        return real(tasks, **kwargs)
 
-    monkeypatch.setattr(executor_mod, "execute_tasks", recording)
+    monkeypatch.setattr(executor_mod, "run_sweep_batched", recording)
     run_sweep(spec, jobs=1)
     # Compare by canonical content (PowerLevelTable compares by identity,
     # so freshly-built configs are never `==` even when identical).
@@ -188,7 +190,8 @@ def test_on_shard_reports_layout_and_transport():
 
 
 def _check_fallback_rescues_shard(jobs):
-    """A batch shard that raises must be transparently re-run scalar."""
+    """A batch shard that raises must be transparently re-run scalar;
+    inline, its rescued runs go first, before any later shard's runs."""
     import pytest
 
     from repro.core.batch import BatchEngine
@@ -249,6 +252,9 @@ def _check_fallback_rescues_shard(jobs):
     # run is bit-identical to the unfailed batch sweep.
     assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
     assert sorted(seen) == list(range(len(tasks)))  # still exactly once
+    if jobs == 1:
+        # Queue order, with the doomed shard's runs rescued in its place.
+        assert seen == [i for s in plan.shards for i in s.indices]
     fallbacks = [r for r in reports if r.kind == "fallback"]
     assert len(fallbacks) == 1
     assert fallbacks[0].shard_id == doomed.shard_id
@@ -262,3 +268,44 @@ def test_failed_shard_falls_back_to_scalar_inline():
 
 def test_failed_shard_falls_back_to_scalar_in_pool():
     _check_fallback_rescues_shard(jobs=2)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("engine", ["fast", "batch"])
+def test_scalar_run_failure_propagates(engine, jobs, monkeypatch):
+    """A scalar run that raises is not rescued: the error reaches the
+    caller.  On the batch engine the failing run is an uncovered task."""
+    import multiprocessing
+
+    from repro.core.engine import FastEngine
+
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("monkeypatch only reaches pool workers under fork")
+    tasks = mixed_tasks()
+    # Keyed on content so it triggers in forked pool workers alike.
+    doomed = "hotspot" if engine == "batch" else "complement"
+    original = FastEngine.run
+
+    def boom(self):
+        if self.workload.pattern == doomed and self.workload.load == 0.3:
+            raise RuntimeError("injected run failure")
+        return original(self)
+
+    monkeypatch.setattr(FastEngine, "run", boom)
+    with pytest.raises(RuntimeError, match="injected run failure"):
+        run_sweep_batched(tasks, jobs=jobs, slab_shard=3, engine=engine)
+
+
+def test_fast_engine_reports_one_scalar_shard_of_every_run():
+    """engine="fast" plans covered tasks as scalar runs, not batch shards."""
+    tasks = [t for t in mixed_tasks() if t.workload.pattern != "hotspot"]
+    reports = []
+    results = run_sweep_batched(
+        tasks, jobs=1, on_shard=reports.append, engine="fast"
+    )
+    assert [(r.kind, r.runs, r.payload_bytes) for r in reports] == [
+        ("scalar", len(tasks), 0)
+    ]
+    assert [r.to_dict() for r in results] == [
+        execute_run(t).to_dict() for t in tasks
+    ]

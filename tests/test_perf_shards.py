@@ -167,10 +167,6 @@ def test_describe_and_to_dict_summarize_layout():
     assert text.startswith("shard plan:")
     assert "--slab-shard 2" in text
     assert "jobs=2" in text
-    d = plan.to_dict()
-    assert d["covered_runs"] == len(tasks)
-    assert d["batch_shards"] == len(plan.batch_shards)
-    assert d["requested_shard"] == 2
 
     heuristic = plan_shards(tasks, jobs=1).describe()
     assert "heuristic" in heuristic
@@ -213,3 +209,22 @@ def test_run_sweep_batched_reports_shard_telemetry():
 def test_plan_rejects_nonpositive_jobs():
     with pytest.raises(ValueError):
         plan_shards(make_tasks(), jobs=0)
+
+
+def test_fast_engine_plans_every_task_as_one_scalar_shard():
+    """Covered tasks get no batch shard when planned for the fast engine."""
+    tasks = make_tasks()
+    plan = plan_shards(tasks, jobs=2, engine="fast")
+    assert plan.batch_shards == ()
+    assert plan.shards == (
+        ShardSpec(shard_id=0, kind="scalar", indices=tuple(range(len(tasks)))),
+    )
+    # The same tasks are all covered on the batch engine.
+    assert plan_shards(tasks, jobs=2).scalar_indices == ()
+
+
+def test_plan_rejects_unknown_engine():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        plan_shards(make_tasks(), engine="detailed")
